@@ -2,43 +2,44 @@ PY := PYTHONPATH=src python
 
 .PHONY: test test-robustness test-durability test-replication \
 	test-observability test-governor test-mvcc bench bench-check \
-	bench-macro bench-macro-smoke load-harness load-harness-overload \
-	load-harness-mixed footprint
+	bench-macro bench-macro-smoke bench-suite bench-suite-test \
+	load-harness load-harness-overload load-harness-mixed footprint
 
-test: test-robustness test-durability test-replication \
-	test-observability test-governor
+# Tier-1: the whole tree, once.  The per-suite targets below are
+# opt-in shortcuts for working on one layer; `test` covers them all.
+test:
 	$(PY) -m pytest -x -q
 
 # Request-lifecycle suites: deadlines, cancellation, fair locking,
-# retry/reconnect, and the fault-injection harness (also run by `test`)
+# retry/reconnect, and the fault-injection harness
 test-robustness:
 	$(PY) -m pytest tests/test_lifecycle.py tests/test_server_extras.py -q
 
 # Durability suite: WAL record round-trips, the simulated-crash matrix,
-# checksummed reads, and verify/repair quarantine (also run by `test`)
+# checksummed reads, and verify/repair quarantine
 test-durability:
 	$(PY) -m pytest tests/test_durability.py -q
 
 # Replication suite: WAL streaming, replica semantics, epoch-fenced
-# failover, and the deterministic failover matrix (also run by `test`)
+# failover, and the deterministic failover matrix
 test-replication:
 	$(PY) -m pytest tests/test_replication.py -q
 
 # Observability suite: query traces, the metrics registry, the
-# slow-query log, and the server metrics/slowlog ops (also run by `test`)
+# slow-query log, and the server metrics/slowlog ops
 test-observability:
 	$(PY) -m pytest tests/test_observability.py -q
 
 # Resource-governor suite: per-query row/byte budgets, the two-lane
 # admission queue, pressure-driven degradation, pin hygiene on killed
-# queries, and the replica circuit breaker (also run by `test`)
+# queries, and the replica circuit breaker
 test-governor:
 	$(PY) -m pytest tests/test_governor.py -q
 
 # MVCC suite: snapshot isolation vs the hash-graph oracle, the
 # publish-then-swap consolidation race, bounded retention and
 # SNAPSHOT_GONE, at_seq exact reads, writer/reader non-blocking, and
-# the deterministic chaos matrix (also run by `test`)
+# the deterministic chaos matrix
 test-mvcc:
 	$(PY) -m pytest tests/test_mvcc.py -q
 
@@ -61,6 +62,15 @@ bench-macro:
 bench-macro-smoke:
 	$(PY) benchmarks/macro/run.py --scale smoke --check-oracle \
 		--output BENCH_macro.json
+
+# The declared benchmark (BENCHMARK.json): four workloads, six
+# end-to-end metrics, a per-layer ledger from a traced run
+bench-suite:
+	python3 benchmarks/suite/run.py
+
+# The suite's own tests (workload correctness, metric plumbing)
+bench-suite-test:
+	$(PY) -m pytest benchmarks/suite -q
 
 # Open-loop load: spawn an in-process server over the smoke dataset and
 # drive the query mix at a fixed arrival rate with SLO gates

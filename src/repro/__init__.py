@@ -28,7 +28,7 @@ from repro.rdf import (
 from repro.arrays import NumericArray, ArrayProxy, Span
 from repro.storage import (
     MemoryArrayStore, FileArrayStore, SqlArrayStore,
-    APRResolver, Strategy, ChunkCache,
+    APRResolver, Strategy,
     DatasetJournal, WriteAheadLog, FaultPlan, SimulatedCrash,
 )
 from repro.exceptions import (
@@ -76,7 +76,6 @@ __all__ = [
     "SqlArrayStore",
     "APRResolver",
     "Strategy",
-    "ChunkCache",
     "DatasetJournal",
     "WriteAheadLog",
     "FaultPlan",

@@ -94,7 +94,8 @@ from repro.exceptions import (
 from repro.governor import (
     BATCH, INTERACTIVE, AdmissionQueue, get_governor,
 )
-from repro.lifecycle import Deadline, deadline_scope
+from repro.lifecycle import Deadline
+from repro.mvcc import snapshot_scope
 from repro import observability as obs
 from repro.rdf.term import BlankNode, Literal, URI
 from repro.replication import PRIMARY, REPLICA, ReplicationState
@@ -299,10 +300,7 @@ class SSDMServer(socketserver.ThreadingTCPServer):
         # retained MVCC versions count toward the governor's memory
         # pressure signal, so long snapshot readers trigger degradation
         # (APR off, pool shrink) before anything is killed
-        register = getattr(self.governor, "add_retained_source", None)
-        mvcc = getattr(ssdm, "mvcc", None)
-        if register is not None and mvcc is not None:
-            register(mvcc)
+        self.governor.add_retained_source(ssdm.mvcc)
         #: Replication identity (role + fencing epoch); shared with an
         #: attached :class:`~repro.replication.ReplicationClient` and
         #: surfaced through ``SSDM.stats()``.
@@ -371,9 +369,11 @@ class SSDMServer(socketserver.ThreadingTCPServer):
         registry.inc("server_requests_total")
         started = time.monotonic()
         try:
+            # the request context is entered here, once: deadline and
+            # budget in one derivation (execute() derives from it)
             with registry.timer("server_request_seconds"), \
-                    deadline_scope(deadline), \
-                    self.governor.scope(priority=priority):
+                    self.governor.scope(priority=priority,
+                                        deadline=deadline):
                 return self._dispatch_admitted(op, request, deadline)
         except SciSparqlError as error:
             code = error_code(error)
@@ -430,7 +430,7 @@ class SSDMServer(socketserver.ThreadingTCPServer):
             # price against a pinned snapshot: planning reads graph
             # statistics, which must not race a concurrent writer's
             # overlay mutation
-            with self.ssdm._read_snapshot():
+            with self._pinned():
                 plan, _ = self.ssdm.plan(text)
                 cost = float(
                     estimate_plan_cost(plan, self.ssdm.dataset.graph(None))
@@ -442,6 +442,15 @@ class SSDMServer(socketserver.ThreadingTCPServer):
             while len(self._cost_cache) > 512:
                 self._cost_cache.popitem(last=False)
         return cost
+
+    @contextmanager
+    def _pinned(self):
+        """Pin the published dataset version for planning outside
+        ``execute`` (pricing, EXPLAIN)."""
+        ssdm = self.ssdm
+        with ssdm.mvcc.reading(ssdm.dataset.capture()) as snapshot, \
+                snapshot_scope(snapshot):
+            yield
 
     def _op_slowlog(self, request):
         """Serve (and optionally reconfigure or clear) the slow-query
@@ -476,7 +485,7 @@ class SSDMServer(socketserver.ThreadingTCPServer):
             from repro.client.results_format import explain_payload
             # lock-free: planning reads a pinned snapshot, so it
             # neither blocks on nor races a concurrent writer
-            with self.ssdm._read_snapshot():
+            with self._pinned():
                 payload = explain_payload(
                     self.ssdm, text,
                     objectlog=bool(request.get("objectlog")),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, Iterator, List, Optional
 
+from repro import context
 from repro.arrays.nma import NumericArray
 from repro.arrays.proxy import ArrayProxy
 from repro.exceptions import EvaluationError, QueryError
@@ -20,6 +21,7 @@ from repro.lifecycle import current_deadline
 from repro.rdf.term import BlankNode, Literal, URI, term_key
 from repro.sparql import ast
 from repro.algebra import logical
+from repro.algebra.translator import Translator
 from repro.algebra.logical import (
     BGP, Distinct, Extend, Filter, GraphScope, Group, Join, LeftJoin, Minus,
     OrderBy, PathScan, Project, Slice, SubQuery, Union, Unit, ValuesTable,
@@ -59,27 +61,36 @@ _OP_LABELS = {
 class QueryEngine:
     """Evaluates logical plans against a dataset.
 
-    One engine may be reused across queries; it carries the function
-    registry (UDFs, foreign functions) and caches translated views.
+    One engine is shared by every query, on every thread: it carries
+    the dataset and the function registry (UDFs, foreign functions) and
+    nothing a query mutates.  What belongs to one request — its FROM /
+    FROM NAMED dataset view, its memo of translated EXISTS / view
+    sub-plans, its trace — lives in the request context
+    (:mod:`repro.context`).
     """
 
     def __init__(self, dataset, functions=None):
         self.dataset = dataset
         self.functions = functions or FunctionRegistry()
-        self.evaluator = Evaluator(self)
-        self._exists_cache: Dict[int, object] = {}
-        self._view_cache: Dict[int, object] = {}
+
+    def _dataset(self):
+        """The dataset this request evaluates against: its FROM / FROM
+        NAMED view when it has one, else the whole dataset."""
+        ctx = context.current()
+        view = None if ctx is None else ctx.dataset_view
+        return self.dataset if view is None else view
 
     # -- public API -------------------------------------------------------------
 
     def run(self, plan, graph=None, initial=None):
         """Evaluate a plan; yields Bindings.
 
-        The ambient request deadline (when one is installed) is polled
-        once per produced solution, so a query generating an unbounded
+        The request deadline (when one is installed) is polled once
+        per produced solution, so a query generating an unbounded
         solution stream is cancellable between results.
         """
-        graph = graph if graph is not None else self.dataset.default_graph
+        if graph is None:
+            graph = self._dataset().default_graph
         inputs = [initial if initial is not None else Bindings.EMPTY]
         deadline = current_deadline()
         for solution in self._eval(plan, iter(inputs), graph):
@@ -95,23 +106,23 @@ class QueryEngine:
         if method is None:
             raise QueryError("cannot evaluate plan node %r" % (node,))
         label = _OP_LABELS.get(type_name)
-        if label is None or obs.current_trace() is None:
+        ctx = context.current()
+        if label is None or ctx is None or ctx.trace is None:
             return method(node, inputs, graph)
-        return self._eval_traced(node, label, method, inputs, graph)
+        return self._eval_traced(ctx, node, label, method, inputs, graph)
 
-    def _eval_traced(self, node, label, method, inputs, graph):
+    def _eval_traced(self, ctx, node, label, method, inputs, graph):
         """Evaluate one operator under its trace span.
 
         Each plan node owns exactly one span per trace (re-evaluations —
         an OPTIONAL's right side runs once per left row — fold into it
         via ``calls``).  Timing is *inclusive* per pulled row, EXPLAIN
-        ANALYZE style: the span is also installed as the thread's
-        ambient span for the duration of each ``next()``, so storage
-        spans triggered by this operator nest beneath it.  Only the
-        query thread mutates these counters, so they stay lock-free.
+        ANALYZE style: the span is also installed as the request
+        context's current span for the duration of each ``next()``, so
+        storage spans triggered by this operator nest beneath it.  Only
+        the query thread mutates these counters, so they stay lock-free.
         """
-        trace = obs.current_trace()
-        span_ = trace.operator_span(node, label, obs.current_span())
+        span_ = ctx.trace.operator_span(node, label, ctx.span)
         span_.calls += 1
         counters = span_.counters
 
@@ -121,13 +132,12 @@ class QueryEngine:
                 yield item
 
         stream = method(node, counted(), graph)
-        state = obs._state
         clock = obs._clock
         advance = stream.__next__
         counters.setdefault("rows_out", 0)
         while True:
-            previous = getattr(state, "span", None)
-            state.span = span_
+            previous = ctx.span
+            ctx.span = span_
             started = clock()
             try:
                 item = advance()
@@ -135,7 +145,7 @@ class QueryEngine:
                 return
             finally:
                 span_.elapsed += clock() - started
-                state.span = previous
+                ctx.span = previous
             counters["rows_out"] += 1
             yield item
 
@@ -179,7 +189,7 @@ class QueryEngine:
     def _match_one(self, pattern, bindings, graph, deadline=None):
         subject = self._resolve(pattern.subject, bindings)
         predicate = self._resolve(pattern.predicate, bindings)
-        value = self._resolve_value(pattern.value, bindings)
+        value = self._resolve(pattern.value, bindings)
         for triple in graph.triples(subject, predicate, value):
             # poll inside the innermost scan: a selective pattern over a
             # large graph may iterate long without producing a solution
@@ -207,19 +217,11 @@ class QueryEngine:
             return bindings.get(component.name)
         return component
 
-    def _resolve_value(self, component, bindings):
-        if isinstance(component, ast.Var):
-            return bindings.get(component.name)
-        if isinstance(component, (URI, BlankNode, Literal, NumericArray,
-                                  ArrayProxy)):
-            return component
-        return component
-
     def _eval_PathScan(self, node, inputs, graph):
         deadline = current_deadline()
         for bindings in inputs:
             subject = self._resolve(node.subject, bindings)
-            value = self._resolve_value(node.value, bindings)
+            value = self._resolve(node.value, bindings)
             for found_subject, found_value in path_eval.eval_path(
                 graph, node.path, subject, value
             ):
@@ -271,6 +273,7 @@ class QueryEngine:
         # OPTIONAL can multiply rows; charging each emitted solution
         # bounds join-output amplification under a resource scope
         scope = current_scope()
+        ebv = Evaluator(self, graph).ebv
         left_stream = self._eval(node.left, inputs, graph)
         for solution in left_stream:
             if scope is not None:
@@ -281,7 +284,7 @@ class QueryEngine:
             ):
                 if node.condition is not None:
                     try:
-                        if not self.evaluator.ebv(node.condition, extended):
+                        if not ebv(node.condition, extended):
                             continue
                     except EvaluationError:
                         continue
@@ -315,17 +318,19 @@ class QueryEngine:
     # -- unary operators -------------------------------------------------------------
 
     def _eval_Filter(self, node, inputs, graph):
+        ebv = Evaluator(self, graph).ebv
         for solution in self._eval(node.input, inputs, graph):
             try:
-                if self.evaluator.ebv(node.expr, solution):
+                if ebv(node.expr, solution):
                     yield solution
             except EvaluationError:
                 continue
 
     def _eval_Extend(self, node, inputs, graph):
         name = node.var.name
+        evaluator = Evaluator(self, graph)
         for solution in self._eval(node.input, inputs, graph):
-            value = self.evaluator.evaluate_or_none(node.expr, solution)
+            value = evaluator.evaluate_or_none(node.expr, solution)
             if value is None:
                 # SciSPARQL section 4.1.2: an array dereference whose
                 # subscript variables are unbound *enumerates* the valid
@@ -334,7 +339,7 @@ class QueryEngine:
                 enumerated = False
                 if isinstance(node.expr, ast.ArraySubscript):
                     for extension, element in self._enumerate_subscripts(
-                        node.expr, solution
+                        evaluator, node.expr, solution
                     ):
                         enumerated = True
                         extension[name] = _storable(element)
@@ -352,31 +357,32 @@ class QueryEngine:
             yield solution.extended(name, stored)
 
     def _eval_GraphScope(self, node, inputs, graph):
+        dataset = self._dataset()
         if isinstance(node.graph, ast.Var):
             name = node.graph.name
             for bindings in inputs:
                 bound = bindings.get(name)
                 if bound is not None:
-                    target = self.dataset.graph(bound, create=False)
+                    target = dataset.graph(bound, create=False)
                     if target is not None:
                         yield from self._eval(
                             node.input, iter([bindings]), target
                         )
                     continue
-                for graph_name, target in \
-                        self.dataset.named_graphs().items():
+                for graph_name, target in dataset.named_graphs().items():
                     extended = bindings.extended(name, graph_name)
                     yield from self._eval(
                         node.input, iter([extended]), target
                     )
         else:
-            target = self.dataset.graph(node.graph, create=False)
+            target = dataset.graph(node.graph, create=False)
             if target is None:
                 return
             yield from self._eval(node.input, inputs, graph=target)
 
     def _eval_Group(self, node, inputs, graph):
         scope = current_scope()
+        evaluator = Evaluator(self, graph)
         solutions = []
         for solution in self._eval(node.input, inputs, graph):
             if scope is not None:
@@ -397,7 +403,7 @@ class QueryEngine:
         for solution in solutions:
             key_values = []
             for expr in key_exprs:
-                value = self.evaluator.evaluate_or_none(expr, solution)
+                value = evaluator.evaluate_or_none(expr, solution)
                 key_values.append(
                     _storable(value) if value is not None else None
                 )
@@ -417,19 +423,21 @@ class QueryEngine:
             for agg_name, aggregate in node.aggregates.items():
                 try:
                     out[agg_name] = _storable(
-                        self._compute_aggregate(aggregate, members)
+                        self._compute_aggregate(
+                            evaluator, aggregate, members
+                        )
                     )
                 except EvaluationError:
                     continue             # aggregate error -> unbound
             yield Bindings(out)
 
-    def _compute_aggregate(self, aggregate, members):
+    def _compute_aggregate(self, evaluator, aggregate, members):
         values = []
         if aggregate.expr is None:       # COUNT(*)
             values = [True] * len(members)
         else:
             for solution in members:
-                value = self.evaluator.evaluate_or_none(
+                value = evaluator.evaluate_or_none(
                     aggregate.expr, solution
                 )
                 if value is not None:
@@ -461,9 +469,9 @@ class QueryEngine:
                 seen.add(solution)
                 yield solution
 
-    def _sort_key_fn(self, keys):
+    def _sort_key_fn(self, keys, graph):
         """The ORDER BY sort-key callable for one ``keys`` spec."""
-        evaluate = self.evaluator.evaluate_or_none
+        evaluate = Evaluator(self, graph).evaluate_or_none
 
         def sort_key(solution):
             key = []
@@ -488,7 +496,7 @@ class QueryEngine:
             if scope is not None:
                 scope.charge_rows(1, "orderby buffer")
             solutions.append(solution)
-        solutions.sort(key=self._sort_key_fn(node.keys))
+        solutions.sort(key=self._sort_key_fn(node.keys, graph))
         yield from solutions
 
     def _eval_TopK(self, node, inputs, graph):
@@ -505,7 +513,7 @@ class QueryEngine:
         top = heapq.nsmallest(
             node.limit + offset,
             self._eval(node.input, inputs, graph),
-            key=self._sort_key_fn(node.keys),
+            key=self._sort_key_fn(node.keys, graph),
         )
         yield from top[offset:]
 
@@ -533,7 +541,7 @@ class QueryEngine:
                 if bindings.compatible(result):
                     yield bindings.merge(result)
 
-    def _enumerate_subscripts(self, expr, solution):
+    def _enumerate_subscripts(self, evaluator, expr, solution):
         """Enumerate valid values of unbound subscript variables.
 
         For ``?a[?i, 2]`` with ``?i`` unbound, yields one
@@ -542,7 +550,7 @@ class QueryEngine:
         subscripts contain no plain unbound variables.
         """
         import itertools
-        base = self.evaluator.evaluate_or_none(expr.base, solution)
+        base = evaluator.evaluate_or_none(expr.base, solution)
         if isinstance(base, ArrayProxy):
             base = base.resolve()
         if not isinstance(base, NumericArray):
@@ -569,22 +577,34 @@ class QueryEngine:
                 name: Literal(index) for name, index in zip(names, combo)
             }
             extended = solution.extended_many(extension.items())
-            value = self.evaluator.evaluate_or_none(expr, extended)
+            value = evaluator.evaluate_or_none(expr, extended)
             if value is not None:
                 yield dict(extension), value
 
     # -- correlated helpers for the expression evaluator ----------------------------
 
-    def exists(self, pattern, bindings):
-        """EXISTS {...}: correlated evaluation with the current solution."""
-        from repro.algebra.translator import Translator
-        cached = self._exists_cache.get(id(pattern))
-        if cached is None:
-            cached = Translator().translate_pattern(pattern)
-            self._exists_cache[id(pattern)] = cached
-        for _ in self._eval(
-            cached, iter([bindings]), self.dataset.default_graph
-        ):
+    @staticmethod
+    def _memoized(node, translate):
+        """``translate(Translator(), node)``, once per request.
+
+        The memo lives in the request context, so it dies with the AST
+        it describes; entries keep their node, so an ``id()`` cannot be
+        reused by another node while the memo is alive.
+        """
+        ctx = context.current()
+        memo = None if ctx is None else ctx.plans
+        if memo is None:
+            return translate(Translator(), node)
+        entry = memo.get(id(node))
+        if entry is None:
+            entry = memo[id(node)] = (node, translate(Translator(), node))
+        return entry[1]
+
+    def exists(self, pattern, bindings, graph):
+        """EXISTS {...}: correlated evaluation with the current solution
+        against ``graph``, the active graph of the enclosing operator."""
+        plan = self._memoized(pattern, Translator.translate_pattern)
+        for _ in self._eval(plan, iter([bindings]), graph):
             return True
         return False
 
@@ -596,20 +616,16 @@ class QueryEngine:
         a Python list — or the single value when the bag has exactly one
         element.
         """
-        from repro.algebra.translator import Translator
-        cached = self._view_cache.get(id(function))
-        if cached is None:
-            plan, names = Translator().translate_select(function.body)
-            cached = (plan, names)
-            self._view_cache[id(function)] = cached
-        plan, names = cached
+        plan, names = self._memoized(
+            function.body, Translator.translate_select
+        )
         initial = Bindings({
             param.name: _storable(value)
             for param, value in zip(function.params, args)
         })
-        results = list(
-            self._eval(plan, iter([initial]), self.dataset.default_graph)
-        )
+        results = list(self._eval(
+            plan, iter([initial]), self._dataset().default_graph
+        ))
         if len(names) == 1:
             values = [
                 solution.get(names[0]) for solution in results

@@ -50,10 +50,14 @@ class Evaluator:
 
     ``engine`` supplies EXISTS evaluation and user-function application;
     it may be None for standalone expression evaluation (no EXISTS/UDFs).
+    ``graph`` is the active graph of the operator evaluating through
+    this instance — what an EXISTS pattern is matched against (inside
+    ``GRAPH <g> {...}`` that is ``<g>``, not the default graph).
     """
 
-    def __init__(self, engine=None):
+    def __init__(self, engine=None, graph=None):
         self.engine = engine
+        self.graph = graph
 
     # -- entry points ---------------------------------------------------------
 
@@ -401,7 +405,7 @@ class Evaluator:
     def _eval_ExistsExpr(self, expr, bindings):
         if self.engine is None:
             raise EvaluationError("EXISTS requires an engine context")
-        exists = self.engine.exists(expr.pattern, bindings)
+        exists = self.engine.exists(expr.pattern, bindings, self.graph)
         return (not exists) if expr.negated else exists
 
     def _eval_Aggregate(self, expr, bindings):

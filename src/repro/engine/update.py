@@ -8,10 +8,8 @@ queries, and all deletions/insertions are collected before being applied
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import List
 
-from repro.arrays.proxy import ArrayProxy
 from repro.exceptions import QueryError
 from repro.rdf.term import BlankNode, Literal, URI
 from repro.sparql import ast
@@ -20,6 +18,7 @@ from repro.algebra.rewriter import rewrite
 from repro.algebra.optimizer import optimize
 from repro.engine.bindings import Bindings
 from repro.engine.eval import _storable
+from repro.storage.durability import invalidate_pooled
 
 
 def execute_update(engine, dataset, update, store_array=None, journal=None):
@@ -50,9 +49,9 @@ def execute_update(engine, dataset, update, store_array=None, journal=None):
         if journal is not None:
             seq = journal.log_update(
                 "insert", update.graph, insert=insertions,
-                dictionary=_dictionary(dataset),
+                dictionary=dataset.term_dictionary,
             )
-        with _writing(dataset, seq):
+        with dataset.writing(seq):
             for triple in insertions:
                 graph.add(*triple)
         return len(insertions)
@@ -65,16 +64,15 @@ def execute_update(engine, dataset, update, store_array=None, journal=None):
                 "delete", update.graph, delete=deletions
             )
         count = 0
-        with _writing(dataset, seq):
+        with dataset.writing(seq):
             for triple in deletions:
                 if graph.remove(triple[0], triple[1], triple[2]):
-                    _invalidate_array(triple[2])
+                    invalidate_pooled(triple[2])
                     count += 1
         return count
     if isinstance(update, ast.Modify):
         graph = dataset.graph(update.graph)
-        plan, _ = _translate_where(update.where)
-        plan = rewrite(plan)
+        plan = rewrite(Translator().translate_pattern(update.where))
         plan = optimize(plan, graph)
         solutions = list(engine.run(plan, graph=graph))
         deletions = []
@@ -95,13 +93,13 @@ def execute_update(engine, dataset, update, store_array=None, journal=None):
             seq = journal.log_update(
                 "modify", update.graph,
                 insert=insertions, delete=deletions,
-                dictionary=_dictionary(dataset),
+                dictionary=dataset.term_dictionary,
             )
         count = 0
-        with _writing(dataset, seq):
+        with dataset.writing(seq):
             for triple in deletions:
                 if graph.remove(*triple):
-                    _invalidate_array(triple[2])
+                    invalidate_pooled(triple[2])
                     count += 1
             for triple in insertions:
                 graph.add(*triple)
@@ -113,7 +111,7 @@ def execute_update(engine, dataset, update, store_array=None, journal=None):
             if journal is not None:
                 seq = journal.log_update("clear", "ALL")
             count = len(dataset)
-            with _writing(dataset, seq):
+            with dataset.writing(seq):
                 for graph in [dataset.default_graph] + list(
                     dataset.named_graphs().values()
                 ):
@@ -127,49 +125,17 @@ def execute_update(engine, dataset, update, store_array=None, journal=None):
         if journal is not None:
             seq = journal.log_update("clear", update.graph)
         count = len(graph)
-        with _writing(dataset, seq):
+        with dataset.writing(seq):
             _invalidate_graph_arrays(graph)
             graph.clear()
         return count
     raise QueryError("unsupported update %r" % (update,))
 
 
-def _writing(dataset, seq):
-    """The dataset's write-record scope: marks the mutation in flight
-    and publishes an MVCC version stamped with the WAL ``seq`` on exit
-    (datasets without MVCC support are a no-op)."""
-    writing = getattr(dataset, "writing", None)
-    if writing is None:
-        return nullcontext()
-    return writing(seq)
-
-
-def _dictionary(dataset):
-    """The dataset's term dictionary for WAL term→id records, if any."""
-    return getattr(dataset, "term_dictionary", None)
-
-
-def _invalidate_array(value):
-    """Drop buffer-pool entries of a deleted array value.
-
-    Deleting the triple severs the last reference SSDM tracks; stale
-    pool entries under a recycled array id must never be served.
-    """
-    if isinstance(value, ArrayProxy):
-        invalidate = getattr(value.store, "invalidate_cached", None)
-        if invalidate is not None:
-            invalidate(value.array_id)
-
-
 def _invalidate_graph_arrays(graph):
     """Invalidate pooled chunks of every array value in a graph."""
     for triple in list(graph.triples()):
-        _invalidate_array(triple.value)
-
-
-def _translate_where(where):
-    translator = Translator()
-    return translator.translate_pattern(where), None
+        invalidate_pooled(triple.value)
 
 
 def _instantiate_all(templates, bindings, skip_unbound=False):
@@ -181,7 +147,7 @@ def _instantiate_all(templates, bindings, skip_unbound=False):
     fresh = {}
     out = []
     for template in templates:
-        triple = _instantiate(template, bindings, fresh)
+        triple = instantiate(template, bindings, fresh)
         if triple is None:
             if skip_unbound:
                 continue
@@ -192,7 +158,11 @@ def _instantiate_all(templates, bindings, skip_unbound=False):
     return out
 
 
-def _instantiate(template, bindings, fresh):
+def instantiate(template, bindings, fresh):
+    """One template triple under ``bindings``, or None when a variable
+    is unbound or a component is not a legal term for its position;
+    ``fresh`` maps parser-generated anonymous variables to the blank
+    nodes minted for this solution (shared with CONSTRUCT)."""
     components = []
     for index, component in enumerate(
         (template.subject, template.predicate, template.value)

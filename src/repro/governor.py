@@ -4,12 +4,12 @@ The load harness made overload *measurable*; this module makes it
 *survivable*.  Four cooperating pieces:
 
 ``ResourceScope``
-    A per-query row/byte budget carried as ambient thread-local state
-    (the same pattern as :func:`repro.lifecycle.deadline_scope`).  Every
+    A per-query row/byte budget carried as the ``budget`` field of the
+    request context (:mod:`repro.context`).  Every
     materialization point in the engine — idjoin ID-space result
     arrays, DISTINCT/GROUP BY hash state, ORDER BY buffers, the TopK
     heap, OPTIONAL join output, buffer-pool fetches — charges the
-    ambient scope; blowing the budget raises a non-retryable
+    current scope; blowing the budget raises a non-retryable
     :class:`~repro.exceptions.ResourceExhaustedError` (wire code
     ``RESOURCE``) that unwinds through the engine's ``finally`` blocks,
     releasing every buffer-pool pin on the way out.  Budgets bound
@@ -51,6 +51,7 @@ import weakref
 from contextlib import contextmanager
 from typing import Optional
 
+from repro import context
 from repro import observability as obs
 from repro.exceptions import ResourceExhaustedError, ServerOverloadedError
 
@@ -138,30 +139,23 @@ class ResourceScope:
         )
 
 
-# -- the ambient (per-thread) scope --------------------------------------------------
-
-_ambient = threading.local()
+# -- the budget field of the request context -----------------------------------------
 
 
 def current_scope() -> Optional[ResourceScope]:
     """The resource scope governing the current thread's query, or None."""
-    return getattr(_ambient, "scope", None)
+    ctx = context.current()
+    return None if ctx is None else ctx.budget
 
 
-@contextmanager
 def resource_scope(scope):
-    """Install ``scope`` as the thread's ambient resource scope.
+    """Derive the thread's request context with ``scope`` as its budget.
 
-    Scopes nest; the previous ambient scope is restored on exit.  Passing
-    None temporarily clears the scope (background work that must not be
-    charged to a request's budget — mirrors ``deadline_scope(None)``).
+    Scopes nest; the previous context is restored on exit.  Passing None
+    clears the budget (background work that must not be charged to a
+    request — mirrors ``deadline_scope(None)``).
     """
-    previous = getattr(_ambient, "scope", None)
-    _ambient.scope = scope
-    try:
-        yield scope
-    finally:
-        _ambient.scope = previous
+    return context.scope(budget=scope)
 
 
 class ResourceGovernor:
@@ -192,12 +186,16 @@ class ResourceGovernor:
         self._last_exhausted = None
 
     @contextmanager
-    def scope(self, priority=INTERACTIVE, max_rows=None, max_bytes=None):
-        """Open a budgeted scope, install it as ambient, account it.
+    def scope(self, priority=INTERACTIVE, max_rows=None, max_bytes=None,
+              **fields):
+        """Open a budgeted scope, install it as the budget of a derived
+        request context, account it.
 
         ``max_rows`` / ``max_bytes`` override the governor defaults for
         this query (None means "use the default"; pass 0 for unbounded
         is *not* supported — use a governor configured with None).
+        ``fields`` are further context fields entered in the same
+        derivation (the server passes its request ``deadline``).
         """
         scope = ResourceScope(
             max_rows=self.max_query_rows if max_rows is None else max_rows,
@@ -208,7 +206,7 @@ class ResourceGovernor:
             self._active.add(scope)
             self._counters["queries"] += 1
         try:
-            with resource_scope(scope):
+            with context.scope(budget=scope, **fields):
                 yield scope
         finally:
             with self._lock:

@@ -15,19 +15,18 @@ keeps invariants simple — every ``finally`` block on the unwind path runs
 that a loop which never polls cannot be cancelled; the polling points
 cover every loop that does storage I/O or unbounded solution generation.
 
-Threads fetching on behalf of a request (the APR prefetch pool) do not
-inherit thread-local state, so :meth:`ArrayStore.get_chunks_async
-<repro.storage.asei.ArrayStore>` captures the ambient deadline at submit
-time and re-installs it inside the worker via :func:`deadline_scope`.
+The deadline is one field of the request context
+(:mod:`repro.context`): threads fetching on behalf of a request (the
+APR prefetch pool) adopt the submitter's whole context, deadline
+included.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from typing import Optional
 
+from repro import context
 from repro.exceptions import RequestCancelledError, RequestTimeoutError
 from repro import observability as obs
 
@@ -128,47 +127,27 @@ class Deadline:
             time.sleep(min(left, _SLEEP_SLICE_SECONDS))
 
 
-# -- the ambient (per-thread) deadline ----------------------------------------------
-
-_ambient = threading.local()
+# -- the deadline field of the request context ------------------------------------
 
 
 def current_deadline() -> Optional[Deadline]:
     """The deadline governing the current thread's request, or None."""
-    return getattr(_ambient, "deadline", None)
+    ctx = context.current()
+    return None if ctx is None else ctx.deadline
 
 
-@contextmanager
 def deadline_scope(deadline):
-    """Install ``deadline`` as the thread's ambient deadline.
+    """Derive the thread's request context with ``deadline`` installed.
 
-    Scopes nest; the previous ambient deadline is restored on exit.
-    Passing None temporarily clears the ambient deadline (used for
-    background work that must not inherit a request's budget).
+    Scopes nest; the previous context is restored on exit.  Passing
+    None clears the deadline (background work that must not inherit a
+    request's budget).
     """
-    previous = getattr(_ambient, "deadline", None)
-    _ambient.deadline = deadline
-    try:
-        yield deadline
-    finally:
-        _ambient.deadline = previous
+    return context.scope(deadline=deadline)
 
 
 def check_deadline():
-    """Poll the ambient deadline; no-op when none is installed."""
-    deadline = getattr(_ambient, "deadline", None)
+    """Poll the current deadline; no-op when none is installed."""
+    deadline = current_deadline()
     if deadline is not None:
         deadline.check()
-
-
-def run_with_deadline(deadline, fn, *args):
-    """Call ``fn(*args)`` with ``deadline`` installed as ambient.
-
-    The bridge for handing a request's deadline across a thread-pool
-    boundary: capture ``current_deadline()`` at submit time, run the
-    worker through this wrapper.
-    """
-    if deadline is None:
-        return fn(*args)
-    with deadline_scope(deadline):
-        return fn(*args)

@@ -29,8 +29,8 @@ completely lock-free.  The pieces:
     same reason.
 
 ``snapshot_scope`` / ``current_snapshot``
-    The ambient thread-local scope the engine's read paths consult,
-    mirroring ``deadline_scope`` and the governor's ``ResourceScope``.
+    The snapshot field of the request context (:mod:`repro.context`),
+    which the engine's read paths consult.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
+from repro import context
 from repro.exceptions import SnapshotGoneError
 
 #: Default bound on concurrently live snapshots before the oldest is
@@ -252,28 +253,21 @@ class SnapshotManager:
         }
 
 
-# -- ambient scope ------------------------------------------------------
-
-_SCOPE = threading.local()
+# -- the snapshot field of the request context ------------------------
 
 
 def current_snapshot():
     """The snapshot installed for the calling thread, or None."""
-    return getattr(_SCOPE, "snapshot", None)
+    ctx = context.current()
+    return None if ctx is None else ctx.snapshot
 
 
-@contextmanager
 def snapshot_scope(snapshot):
-    """Install ``snapshot`` as the ambient snapshot for this thread.
+    """Derive the thread's request context with ``snapshot`` installed.
 
     The engine's graph read paths (``Graph.triples``, the idjoin fast
     path) consult :func:`current_snapshot` and route reads through the
     pinned version; scopes nest (a sub-query inherits the outer
     snapshot unless explicitly overridden).
     """
-    previous = getattr(_SCOPE, "snapshot", None)
-    _SCOPE.snapshot = snapshot
-    try:
-        yield snapshot
-    finally:
-        _SCOPE.snapshot = previous
+    return context.scope(snapshot=snapshot)

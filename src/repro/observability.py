@@ -10,9 +10,10 @@ request path reports into:
   (``parse``, ``plan``, ``execute``, per-operator ``bgp``/``join``/
   ``filter``/``aggregate``, and storage spans ``chunk_fetch``/
   ``pool_hit``/``wal_append``) carrying counters such as rows in/out,
-  chunks, bytes, and pool hits.  The active trace is *ambient* (a
-  thread-local), so instrumentation sites only say ``with
-  span("parse"):`` — no trace object is threaded through signatures.
+  chunks, bytes, and pool hits.  The active trace and span are fields
+  of the request context (:mod:`repro.context`), so instrumentation
+  sites only say ``with span("parse"):`` — no trace object is threaded
+  through signatures.
   Deadline expiries, cancellations, and injected faults are recorded as
   trace *events*.
 - **Metrics** — a process-wide :class:`MetricsRegistry` of counters,
@@ -26,15 +27,16 @@ request path reports into:
   ``SSDM.explain(text, analyze=True)``.
 
 Threading model: a trace belongs to the thread that opened it, but
-helper threads fetching on its behalf (the APR prefetch pool) may
-*adopt* it — :func:`capture` at submit time, :func:`activate` inside
-the worker — and their storage spans accumulate under the capturing
-span.  Aggregate spans and child creation are guarded by a per-trace
-lock; the per-row operator accounting in the engine stays lock-free
-because only the query thread touches it.
+helper threads fetching on its behalf (the APR prefetch pool) adopt a
+fork of the submitter's request context, and their storage spans
+accumulate under the span that was current at submit time.  Aggregate
+spans and child creation are guarded by a per-trace lock; the per-row
+operator accounting in the engine stays lock-free because only the
+query thread touches it.
 
 Everything here must stay import-light: this module is imported by the
-lifecycle, storage, and engine layers and must never import them back.
+lifecycle, storage, and engine layers and must never import them back
+(its only package import is the leaf :mod:`repro.context`).
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
+from repro import context
+
 __all__ = [
     "Span", "QueryTrace", "MetricsRegistry", "Counter", "Gauge",
     "Histogram", "SlowQueryLog", "span", "observe_span", "tick", "add",
     "event",
-    "trace_query", "current_trace", "current_span", "capture",
-    "activate", "set_tracing", "tracing_enabled", "metrics",
+    "trace_query", "current_trace", "current_span",
+    "set_tracing", "tracing_enabled", "metrics",
     "set_metrics", "slow_query_log", "set_slow_query_log", "set_clock",
 ]
 
@@ -284,9 +288,8 @@ class QueryTrace:
         )
 
 
-# -- the ambient trace --------------------------------------------------------------
+# -- the trace fields of the request context ---------------------------------------
 
-_state = threading.local()
 _enabled = True
 
 
@@ -307,46 +310,22 @@ def tracing_enabled():
     return _enabled
 
 
+def _traced():
+    """The current request context when it carries a trace, else None
+    (a context with a trace always has a ``span`` to report under)."""
+    ctx = context.current()
+    return ctx if ctx is not None and ctx.trace is not None else None
+
+
 def current_trace() -> Optional[QueryTrace]:
     """The trace of the current thread's request, or None."""
-    return getattr(_state, "trace", None)
+    ctx = _traced()
+    return None if ctx is None else ctx.trace
 
 
 def current_span() -> Optional[Span]:
-    trace = getattr(_state, "trace", None)
-    if trace is None:
-        return None
-    return getattr(_state, "span", None) or trace.root
-
-
-def capture():
-    """Snapshot (trace, span) for handing to a worker thread, or None."""
-    trace = getattr(_state, "trace", None)
-    if trace is None:
-        return None
-    return (trace, getattr(_state, "span", None) or trace.root)
-
-
-@contextmanager
-def activate(context):
-    """Adopt a captured (trace, span) context — or None to clear.
-
-    The bridge for prefetch workers: spans they open accumulate under
-    the span that was current when the fetch was submitted.  Passing
-    None detaches the thread (used for speculation, which outlives the
-    demanding request and must not write into its trace).
-    """
-    previous = (getattr(_state, "trace", None),
-                getattr(_state, "span", None))
-    if context is None:
-        _state.trace = None
-        _state.span = None
-    else:
-        _state.trace, _state.span = context
-    try:
-        yield
-    finally:
-        _state.trace, _state.span = previous
+    ctx = _traced()
+    return None if ctx is None else ctx.span
 
 
 class _SpanContext:
@@ -358,7 +337,7 @@ class _SpanContext:
     afford (the benchmark gate holds tracing overhead under 5%).
     """
 
-    __slots__ = ("name", "aggregate", "node", "_trace", "_previous",
+    __slots__ = ("name", "aggregate", "node", "_ctx", "_previous",
                  "_started")
 
     def __init__(self, name, aggregate):
@@ -367,32 +346,29 @@ class _SpanContext:
         self.node = None
 
     def __enter__(self):
-        trace = getattr(_state, "trace", None)
-        self._trace = trace
-        if trace is None:
+        ctx = self._ctx = _traced()
+        if ctx is None:
             return None
-        parent = getattr(_state, "span", None) or trace.root
-        with trace._lock:
+        parent = self._previous = ctx.span
+        with ctx.trace._lock:
             node = (parent.aggregate_child(self.name) if self.aggregate
                     else parent.child(self.name))
             node.calls += 1
-        self.node = node
-        self._previous = getattr(_state, "span", None)
-        _state.span = node
+        self.node = ctx.span = node
         self._started = _clock()
         return node
 
     def __exit__(self, exc_type, exc, tb):
-        trace = self._trace
-        if trace is None:
+        ctx = self._ctx
+        if ctx is None:
             return False
         delta = _clock() - self._started
         if self.aggregate:
-            with trace._lock:
+            with ctx.trace._lock:
                 self.node.elapsed += delta
         else:
             self.node.elapsed += delta
-        _state.span = self._previous
+        ctx.span = self._previous
         return False
 
 
@@ -415,15 +391,14 @@ def observe_span(name, seconds, **counters):
     WAL appends): callers time the operation themselves and report it
     post-hoc, so one lock round-trip replaces the several that
     ``span(name, aggregate=True)`` plus ``add()`` calls would take.
-    Only suitable for leaves — the span is never made ambient, so
+    Only suitable for leaves — the span is never made current, so
     nothing can nest under it.
     """
-    trace = getattr(_state, "trace", None)
-    if trace is None:
+    ctx = _traced()
+    if ctx is None:
         return
-    parent = getattr(_state, "span", None) or trace.root
-    with trace._lock:
-        node = parent.aggregate_child(name)
+    with ctx.trace._lock:
+        node = ctx.span.aggregate_child(name)
         node.calls += 1
         node.elapsed += seconds
         for key, delta in counters.items():
@@ -436,64 +411,53 @@ def tick(name, **counters):
     Used for instantaneous storage facts (``pool_hit``) where only the
     counts matter; a no-op without an active trace.
     """
-    trace = getattr(_state, "trace", None)
-    if trace is None:
-        return
-    parent = getattr(_state, "span", None) or trace.root
-    with trace._lock:
-        node = parent.aggregate_child(name)
-        node.calls += 1
-        for key, delta in counters.items():
-            node.counters[key] = node.counters.get(key, 0) + delta
+    observe_span(name, 0.0, **counters)
 
 
 def add(name, delta=1):
     """Add to a counter on the current span; no-op when untraced."""
-    trace = getattr(_state, "trace", None)
-    if trace is None:
+    ctx = _traced()
+    if ctx is None:
         return
-    node = getattr(_state, "span", None) or trace.root
-    with trace._lock:
-        node.counters[name] = node.counters.get(name, 0) + delta
+    with ctx.trace._lock:
+        ctx.span.counters[name] = ctx.span.counters.get(name, 0) + delta
 
 
 def event(name, **data):
     """Record a point event on the active trace; no-op when untraced."""
-    trace = getattr(_state, "trace", None)
-    if trace is not None:
-        trace.event(name, **data)
+    ctx = _traced()
+    if ctx is not None:
+        ctx.trace.event(name, **data)
 
 
-class _TraceQueryContext:
-    """Hand-rolled context manager behind :func:`trace_query` (the
-    generator form costs microseconds per query — see _SpanContext)."""
+class _TraceQueryContext(context.scope):
+    """The context manager behind :func:`trace_query`: a request-context
+    derivation that also opens, seals and files the trace."""
 
-    __slots__ = ("text", "trace", "_previous", "_started")
+    __slots__ = ("text", "trace", "_started")
 
-    def __init__(self, text):
+    def __init__(self, text, changes):
+        context.scope.__init__(self, **changes)
         self.text = text
         self.trace = None
 
     def __enter__(self):
         if _enabled:
-            trace = QueryTrace(self.text)
-            self._previous = (getattr(_state, "trace", None),
-                              getattr(_state, "span", None))
-            _state.trace = trace
-            _state.span = trace.root
-            self.trace = trace
+            trace = self.trace = QueryTrace(self.text)
+            self._changes.update(trace=trace, span=trace.root)
         else:
             self._started = _clock()
+        context.scope.__enter__(self)
         return self.trace
 
     def __exit__(self, exc_type, exc, tb):
+        context.scope.__exit__(self, exc_type, exc, tb)
         registry = metrics()
         trace = self.trace
         if trace is None:
             elapsed = _clock() - self._started
         else:
             trace.finish("error" if exc is not None else "ok", exc)
-            _state.trace, _state.span = self._previous
             elapsed = trace.elapsed
         if exc is not None:
             registry.inc("query_errors_total")
@@ -505,8 +469,10 @@ class _TraceQueryContext:
         return False
 
 
-def trace_query(text):
-    """Open a :class:`QueryTrace` as the thread's ambient trace.
+def trace_query(text, **fields):
+    """Open a :class:`QueryTrace` as the trace of a derived request
+    context (``fields`` are further context fields entered in the same
+    derivation — ``SSDM.execute`` passes its deadline and plan memo).
 
     On exit the trace is finished (status ``ok`` or ``error``), its
     latency lands in the metrics registry, and it is offered to the
@@ -515,7 +481,7 @@ def trace_query(text):
     query executed while another is tracing on the same thread) open an
     inner trace; the outer one is restored afterwards.
     """
-    return _TraceQueryContext(text)
+    return _TraceQueryContext(text, fields)
 
 
 def _count_error_kind(registry, error):

@@ -23,7 +23,7 @@ plus a copy of the pending overlay and the dictionary watermark — in
 O(overlay).  The single writer publishes one per WAL record
 (:meth:`~repro.rdf.dataset.Dataset.publish`); lock-free readers resolve
 patterns against their pinned version, merging its overlay on the fly.
-When an ambient MVCC snapshot is installed
+When the request context carries an MVCC snapshot
 (:func:`repro.mvcc.current_snapshot`), the plain read API
 (:meth:`triples`, :meth:`count`, containment) routes through the
 snapshot's version automatically.

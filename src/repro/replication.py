@@ -346,7 +346,7 @@ class ReplicationClient:
         follower is ahead of a freshly recovered upstream.  Clear the
         local dataset and log and re-tail from sequence zero.
         """
-        from repro.storage.durability import _invalidate_pooled
+        from repro.storage.durability import invalidate_pooled
 
         dataset = self.ssdm.dataset
         with self.write_guard():
@@ -354,23 +354,19 @@ class ReplicationClient:
             graphs.extend(dataset.named_graphs().values())
             for graph in graphs:
                 for triple in list(graph.triples()):
-                    _invalidate_pooled(triple.value)
+                    invalidate_pooled(triple.value)
                 graph.clear()
             for name in list(dataset.named_graphs()):
                 dataset.drop(name)
-            dictionary = getattr(dataset, "term_dictionary", None)
-            if dictionary is not None:
-                # the upstream's compacted log re-assigns IDs from
-                # zero; keeping stale assignments would make the first
-                # streamed dict record non-dense (CorruptionError)
-                dictionary.clear()
+            # the upstream's compacted log re-assigns IDs from zero;
+            # keeping stale assignments would make the first streamed
+            # dict record non-dense (CorruptionError)
+            dataset.term_dictionary.clear()
             self.ssdm.journal.reset()
-            publish = getattr(dataset, "publish", None)
-            if publish is not None:
-                # publish the emptied dataset at seq 0: the seq
-                # *regression* tells the snapshot manager to invalidate
-                # every snapshot pinned on the abandoned history
-                publish(0)
+            # publish the emptied dataset at seq 0: the seq *regression*
+            # tells the snapshot manager to invalidate every snapshot
+            # pinned on the abandoned history
+            dataset.publish(0)
         self.resyncs += 1
 
     # -- background tailing ------------------------------------------------------

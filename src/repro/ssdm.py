@@ -16,18 +16,18 @@ with optional external array storage behind the ASEI.  Typical use::
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
 from typing import Dict, List, Optional
 
+from repro import context
 from repro.arrays.nma import NumericArray
 from repro.arrays.proxy import ArrayProxy
 from repro.exceptions import (
     QueryError, ReplicaLaggingError, SciSparqlError, SnapshotGoneError,
 )
-from repro.mvcc import SnapshotManager, current_snapshot, snapshot_scope
+from repro.mvcc import SnapshotManager
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
-from repro.rdf.term import BlankNode, Literal, URI
+from repro.rdf.term import BlankNode, Literal
 from repro.sparql import ast
 from repro.sparql.parser import Parser
 from repro.algebra.translator import Translator, translate
@@ -36,8 +36,8 @@ from repro.algebra.optimizer import optimize
 from repro.engine.bindings import Bindings
 from repro.engine.eval import QueryEngine, _storable
 from repro.engine.udf import FunctionRegistry
-from repro.engine.update import execute_update
-from repro.lifecycle import Deadline, deadline_scope
+from repro.engine.update import execute_update, instantiate
+from repro.lifecycle import Deadline, current_deadline
 from repro import observability as obs
 
 
@@ -243,12 +243,8 @@ class SSDM:
             pool = shared_pool()
         graph = self.dataset.default_graph
         index_stats = getattr(graph, "index_stats", None)
-        dictionary = getattr(self.dataset, "term_dictionary", None)
-        graph_block = None
-        if index_stats is not None or dictionary is not None:
-            graph_block = dict(index_stats() if index_stats else {})
-            if dictionary is not None:
-                graph_block["dictionary"] = dictionary.stats()
+        graph_block = dict(index_stats() if index_stats else {})
+        graph_block["dictionary"] = self.dataset.term_dictionary.stats()
         return {
             "graph": graph_block,
             "storage": store.stats.snapshot() if store is not None else None,
@@ -396,9 +392,8 @@ class SSDM:
                 stack.extend(node.children())
             text_out = "\n".join(lines)
         if analyze:
-            result = self.execute(text)
+            result, trace = self._request(text)
             lines = [text_out, ""]
-            trace = self.last_trace
             if trace is not None:
                 lines.append(trace.render())
             else:
@@ -420,8 +415,8 @@ class SSDM:
         ``timeout`` (seconds) bound the execution: the engine, APR, and
         ASEI loops poll the deadline cooperatively and abort with
         :class:`~repro.exceptions.RequestTimeoutError` once it expires.
-        Without either, an ambient deadline installed by a caller (the
-        SSDM server installs one per request) still applies.
+        Without either, the deadline of the enclosing request context
+        (the SSDM server installs one per request) still applies.
 
         ``at_seq`` pins a read statement to the *exact* MVCC version
         published at that WAL seq: ahead of the applied state raises
@@ -430,34 +425,54 @@ class SSDM:
         :class:`~repro.exceptions.SnapshotGoneError`.  Without it,
         reads pin the latest published version at admission.
         """
+        return self._request(text, bindings, deadline, timeout, at_seq)[0]
+
+    def _request(self, text, bindings=None, deadline=None, timeout=None,
+                 at_seq=None):
+        """Run one statement in its own request context; returns
+        (result, trace).
+
+        The context derives from the enclosing one, so a nested execute
+        (a user-defined function issuing a sub-query) keeps its
+        caller's deadline, budget and snapshot — one statement never
+        mixes two versions — while getting its own trace, plan memo
+        and dataset view.
+        """
         if deadline is None and timeout is not None:
             deadline = Deadline(timeout)
-        if deadline is not None:
-            with deadline_scope(deadline):
-                deadline.check()
-                return self._execute_traced(text, bindings, at_seq)
-        return self._execute_traced(text, bindings, at_seq)
-
-    def _execute_traced(self, text, bindings, at_seq=None):
-        """Run one statement under a fresh ambient QueryTrace."""
-        with obs.trace_query(text) as trace:
+        if deadline is None:
+            deadline = current_deadline()
+        else:
+            deadline.check()
+        with obs.trace_query(text, deadline=deadline, dataset_view=None,
+                             plans={}) as trace:
             if trace is not None:
                 self.last_trace = trace
-            return self._execute(text, bindings, at_seq)
+            return self._execute(text, bindings, at_seq), trace
 
-    def _execute(self, text, bindings=None, at_seq=None):
+    def _execute(self, text, bindings, at_seq):
+        """Parse and run one statement inside its request context."""
         with obs.span("parse"):
             statement = self.parse(text)
-        if isinstance(statement, (ast.SelectQuery, ast.AskQuery,
-                                  ast.ConstructQuery, ast.DescribeQuery)):
-            with self._read_snapshot(at_seq):
-                if isinstance(statement, ast.SelectQuery):
-                    return self._run_select(statement, bindings)
-                if isinstance(statement, ast.AskQuery):
-                    return self._run_ask(statement, bindings)
-                if isinstance(statement, ast.ConstructQuery):
-                    return self._run_construct(statement, bindings)
-                return self._run_describe(statement, bindings)
+        if isinstance(statement, ast.SelectQuery):
+            run = self._run_select
+        elif isinstance(statement, ast.AskQuery):
+            run = self._run_ask
+        elif isinstance(statement, ast.ConstructQuery):
+            run = self._run_construct
+        elif isinstance(statement, ast.DescribeQuery):
+            run = self._run_describe
+        else:
+            run = None
+        if run is not None:
+            ctx = context.current()
+            if ctx.snapshot is not None and at_seq is None:
+                return run(statement, bindings)
+            # pin the statement to one immutable dataset version, which
+            # the graph read paths route through
+            with self.mvcc.reading(self._resolve_version(at_seq)) as pin:
+                ctx.snapshot = pin
+                return run(statement, bindings)
         if at_seq is not None:
             raise QueryError("at_seq applies to read statements only")
         if isinstance(statement, ast.FunctionDefinition):
@@ -473,23 +488,6 @@ class SSDM:
                     journal=self.journal,
                 )
         raise QueryError("cannot execute %r" % (statement,))
-
-    @contextmanager
-    def _read_snapshot(self, at_seq=None):
-        """Pin one read statement to an immutable dataset version.
-
-        Installs the ambient snapshot the graph read paths route
-        through; a nested execute (user-defined functions issuing
-        sub-queries) inherits the outer snapshot so one statement
-        never mixes two versions.
-        """
-        if current_snapshot() is not None and at_seq is None:
-            yield None
-            return
-        version = self._resolve_version(at_seq)
-        with self.mvcc.reading(version) as snapshot:
-            with snapshot_scope(snapshot):
-                yield snapshot
 
     def _resolve_version(self, at_seq):
         dataset = self.dataset
@@ -523,24 +521,13 @@ class SSDM:
 
     # -- internals -----------------------------------------------------------------
 
-    def _initial(self, bindings):
-        if bindings is None:
-            return None
-        return Bindings({
-            name: _storable(value) for name, value in bindings.items()
-        })
-
     def _run_select(self, query, bindings=None):
-        from repro.governor import current_scope
-
-        plan, columns, scope = self._prepare(query)
-        budget = current_scope()
+        columns, solutions = self._prepare(query, bindings)
+        budget = context.current().budget
         rows = []
         append = rows.append
-        with scope, obs.span("execute") as timing:
-            for solution in self.engine.run(
-                plan, graph=scope.graph, initial=self._initial(bindings)
-            ):
+        with obs.span("execute") as timing:
+            for solution in solutions:
                 if budget is not None:
                     budget.charge_rows(1, "result materialization")
                 get = solution.mapping().get
@@ -549,44 +536,51 @@ class SSDM:
                 timing.add("rows", len(rows))
         return QueryResult(columns, rows)
 
-    def _prepare(self, query):
-        """Translate + rewrite + optimize, honouring dataset clauses.
+    def _prepare(self, query, bindings):
+        """Plan ``query``, honouring its dataset clauses.
 
         ``FROM`` graphs merge into the query's active default graph;
         ``FROM NAMED`` restricts which named graphs GRAPH patterns see
-        (section 3.3.4).  Returns (plan, columns, dataset-scope); the
-        scope is a context manager installing the query's dataset view
-        on the engine for the duration of evaluation.
+        (section 3.3.4).  Both become the ``dataset_view`` of this
+        request's context — never state on the shared engine — so
+        concurrent queries cannot see each other's clauses.  Returns
+        (columns, solutions): the engine's lazy solution stream, to be
+        consumed under the caller's ``execute`` span.
         """
-        scope = _DatasetScope(self, query)
-        with obs.span("plan"):
-            plan, columns = translate(query)
-            with obs.span("rewrite"):
-                plan = rewrite(plan)
-            plan = optimize(plan, scope.graph)
-        return plan, columns, scope
+        graph = self.dataset.default_graph
+        from_graphs = getattr(query, "from_graphs", None) or []
+        from_named = getattr(query, "from_named", None) or []
+        if from_graphs or from_named:
+            graph = Graph()
+            for name in from_graphs:
+                source = self.dataset.graph(name, create=False)
+                if source is not None:
+                    graph.update(source.triples())
+            context.current().dataset_view = _RestrictedDataset(
+                self.dataset, from_named or None, graph
+            )
+        plan, columns = self.plan(query, graph)
+        if bindings is not None:
+            bindings = Bindings({
+                name: _storable(value) for name, value in bindings.items()
+            })
+        return columns, self.engine.run(plan, graph, bindings)
 
     def _run_ask(self, query, bindings=None):
-        plan, _, scope = self._prepare(query)
-        with scope, obs.span("execute"):
-            for _ in self.engine.run(
-                plan, graph=scope.graph, initial=self._initial(bindings)
-            ):
+        _, solutions = self._prepare(query, bindings)
+        with obs.span("execute"):
+            for _ in solutions:
                 return True
         return False
 
     def _run_construct(self, query, bindings=None):
-        plan, _, scope = self._prepare(query)
+        _, solutions = self._prepare(query, bindings)
         out = Graph()
-        with scope, obs.span("execute"):
-            for solution in self.engine.run(
-                plan, graph=scope.graph, initial=self._initial(bindings)
-            ):
+        with obs.span("execute"):
+            for solution in solutions:
                 fresh: Dict[str, BlankNode] = {}
                 for template in query.template:
-                    triple = self._instantiate_template(
-                        template, solution, fresh
-                    )
+                    triple = instantiate(template, solution, fresh)
                     if triple is not None:
                         out.add(*triple)
         return out
@@ -595,12 +589,9 @@ class SSDM:
         out = Graph()
         targets = []
         if query.where is not None:
-            plan, _, scope = self._prepare(query)
-            with scope, obs.span("execute"):
-                for solution in self.engine.run(
-                    plan, graph=scope.graph,
-                    initial=self._initial(bindings)
-                ):
+            _, solutions = self._prepare(query, bindings)
+            with obs.span("execute"):
+                for solution in solutions:
                     for term in query.terms:
                         if isinstance(term, ast.Var):
                             value = solution.get(term.name)
@@ -617,30 +608,6 @@ class SSDM:
             for triple in self.dataset.default_graph.triples(target):
                 out.add_triple(triple)
         return out
-
-    @staticmethod
-    def _instantiate_template(template, solution, fresh):
-        components = []
-        for component in (template.subject, template.predicate,
-                          template.value):
-            if isinstance(component, ast.Var):
-                if component.name.startswith("_anon"):
-                    components.append(
-                        fresh.setdefault(component.name, BlankNode())
-                    )
-                    continue
-                value = solution.get(component.name)
-                if value is None:
-                    return None
-                components.append(value)
-            else:
-                components.append(component)
-        subject, predicate, value = components
-        if not isinstance(subject, (URI, BlankNode)) or not isinstance(
-            predicate, URI
-        ):
-            return None
-        return (subject, predicate, value)
 
 
 class _RestrictedDataset:
@@ -671,40 +638,6 @@ class _RestrictedDataset:
             name: graph for name, graph in graphs.items()
             if name in self._named
         }
-
-
-class _DatasetScope:
-    """Context manager installing a query's dataset view on the engine."""
-
-    def __init__(self, ssdm, query):
-        self._ssdm = ssdm
-        self._saved = None
-        from_graphs = getattr(query, "from_graphs", None) or []
-        from_named = getattr(query, "from_named", None) or []
-        if not from_graphs and not from_named:
-            self.graph = ssdm.dataset.default_graph
-            self._view = None
-            return
-        merged = Graph()
-        for name in from_graphs:
-            source = ssdm.dataset.graph(name, create=False)
-            if source is not None:
-                merged.update(source.triples())
-        self.graph = merged
-        self._view = _RestrictedDataset(
-            ssdm.dataset, from_named if from_named else None, merged
-        )
-
-    def __enter__(self):
-        if self._view is not None:
-            self._saved = self._ssdm.engine.dataset
-            self._ssdm.engine.dataset = self._view
-        return self
-
-    def __exit__(self, *exc):
-        if self._view is not None:
-            self._ssdm.engine.dataset = self._saved
-        return False
 
 
 def _output(value):

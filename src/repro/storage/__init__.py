@@ -40,7 +40,6 @@ from repro.storage.sqlgraph import SqlTripleGraph
 from repro.storage.apr import APRResolver, Strategy
 from repro.storage.spd import SequencePatternDetector
 from repro.storage.bufferpool import BufferPool, set_shared_pool, shared_pool
-from repro.storage.cache import ChunkCache
 
 __all__ = [
     "ArrayStore",
@@ -61,5 +60,4 @@ __all__ = [
     "BufferPool",
     "shared_pool",
     "set_shared_pool",
-    "ChunkCache",
 ]

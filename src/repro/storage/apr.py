@@ -43,11 +43,11 @@ from repro.arrays.chunks import (
 from repro.arrays.nma import NumericArray
 from repro.arrays.proxy import ArrayProxy
 from repro.exceptions import StorageError
+from repro import context
 from repro import governor as gov
-from repro.lifecycle import current_deadline, deadline_scope
+from repro.lifecycle import check_deadline, current_deadline
 from repro import observability as obs
 from repro.storage.bufferpool import BufferPool, shared_pool
-from repro.storage.cache import ChunkCache
 from repro.storage.spd import RANGE, SINGLE, SequencePatternDetector
 
 #: A contiguous SPD range is split into pipeline units of at most this
@@ -128,9 +128,7 @@ class APRResolver:
 
     def _resolve(self, proxies):
         proxies = list(proxies)
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         for proxy in proxies:
             if not isinstance(proxy, ArrayProxy):
                 raise StorageError("cannot resolve %r" % (proxy,))
@@ -470,14 +468,14 @@ class APRResolver:
         _, owned, _ = pool.claim(key, wanted, record=False)
         if not owned:
             return
-        # Speculation outlives the demanding request, so it must not
-        # inherit its deadline (a speculative fetch failing with one
-        # request's TIMEOUT would poison waiters from other requests)
-        # nor its trace (spans landing after the trace is sealed).
-        with deadline_scope(None), obs.activate(None):
-            future = self.store.get_chunks_async(
-                array_id, owned, executor=executor
-            )
+        # Speculation outlives the demanding request, so it runs with
+        # no request context at all: not its deadline (a speculative
+        # fetch failing with one request's TIMEOUT would poison waiters
+        # from other requests), not its trace (spans landing after the
+        # trace is sealed), not its budget or snapshot.
+        future = context.adopt(
+            None, self.store.get_chunks_async, array_id, owned, executor
+        )
 
         def _deliver(done):
             try:

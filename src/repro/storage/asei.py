@@ -29,9 +29,8 @@ from repro.arrays.chunks import ChunkLayout, DEFAULT_CHUNK_BYTES
 from repro.arrays.nma import ELEMENT_TYPES, NumericArray, dtype_code
 from repro.arrays.proxy import ArrayProxy
 from repro.exceptions import CorruptionError, StorageError
-from repro.lifecycle import (
-    check_deadline, current_deadline, run_with_deadline,
-)
+from repro import context
+from repro.lifecycle import check_deadline
 from repro import observability as obs
 from repro.storage.bufferpool import shared_pool
 
@@ -318,15 +317,18 @@ class ArrayStore:
 
         On a ``thread_safe`` back-end the request runs on ``executor``
         so callers can overlap fetches; otherwise it completes
-        synchronously (same result, no overlap).  The submitting
-        thread's ambient deadline is carried into the worker, so a
-        timed-out request's outstanding fetches abort instead of
-        occupying pool workers.
+        synchronously (same result, no overlap).  The worker adopts
+        the submitting thread's request context: its ``chunk_fetch``
+        spans accumulate under the operator that demanded the chunks
+        (wall times sum *across* workers, so an aggregate span's
+        elapsed may exceed the query's wall clock), and a timed-out
+        request's outstanding fetches abort instead of occupying pool
+        workers.
         """
         chunk_ids = list(chunk_ids)
         if executor is not None and self.thread_safe:
             return executor.submit(
-                _run_adopted, obs.capture(), current_deadline(),
+                context.adopt, context.fork(),
                 self.get_chunks, array_id, chunk_ids,
             )
         return _completed(self.get_chunks, array_id, chunk_ids)
@@ -336,7 +338,7 @@ class ArrayStore:
         ranges = [tuple(r) for r in ranges]
         if executor is not None and self.thread_safe:
             return executor.submit(
-                _run_adopted, obs.capture(), current_deadline(),
+                context.adopt, context.fork(),
                 self.get_chunk_ranges, array_id, ranges,
             )
         return _completed(self.get_chunk_ranges, array_id, ranges)
@@ -510,21 +512,6 @@ def _completed(fn, *args):
     except Exception as error:  # propagate through the future contract
         future.set_exception(error)
     return future
-
-
-def _run_adopted(trace_ctx, deadline, fn, *args):
-    """Run a pool worker under the submitting request's trace + deadline.
-
-    Worker threads inherit no thread-local state, so both the ambient
-    deadline and the (trace, span) context are captured at submit time
-    and re-installed here — a prefetch worker's ``chunk_fetch`` spans
-    accumulate under the operator that demanded the chunks.  Its wall
-    times sum *across* workers, so an aggregate span's elapsed reads as
-    total I/O time, which may exceed the query's wall clock when
-    fetches overlap.
-    """
-    with obs.activate(trace_ctx):
-        return run_with_deadline(deadline, fn, *args)
 
 
 def _observe_fetch(chunks, nbytes, seconds):

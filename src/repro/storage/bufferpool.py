@@ -1,9 +1,9 @@
 """Process-wide, thread-safe buffer pool of fetched array chunks.
 
-Generalizes the old per-resolver :class:`~repro.storage.cache.ChunkCache`
-into the chunk buffer SSDM shares between *all* array accesses
-(dissertation section 6.2): one byte-bounded LRU pool serves every ASEI
-back-end, every APR resolver, and every concurrent workbench request.
+Generalizes the old per-resolver chunk cache into the chunk buffer SSDM
+shares between *all* array accesses (dissertation section 6.2): one
+byte-bounded LRU pool serves every ASEI back-end, every APR resolver,
+and every concurrent workbench request.
 
 Three capabilities distinguish it from a plain LRU map:
 

@@ -668,11 +668,7 @@ class DatasetJournal:
         update logged it.  ``seq`` stamps the MVCC version published at
         the record boundary (so replica reads see exact-seq snapshots).
         """
-        writing = getattr(dataset, "writing", None)
-        if writing is None:
-            self._apply(dataset, payload)
-            return
-        with writing(seq if seq is not None else self.last_seq):
+        with dataset.writing(seq if seq is not None else self.last_seq):
             self._apply(dataset, payload)
 
     def reset(self):
@@ -695,9 +691,7 @@ class DatasetJournal:
         self.records_replayed += count
         # one version for the whole recovered state (per-record
         # publication during replay would only churn retired overlays)
-        publish = getattr(dataset, "publish", None)
-        if publish is not None:
-            publish(self.last_seq)
+        dataset.publish(self.last_seq)
         return count
 
     def _apply(self, dataset, payload):
@@ -719,23 +713,21 @@ class DatasetJournal:
         ]
         entries = record.get("dict", ())
         if entries:
-            dictionary = getattr(dataset, "term_dictionary", None)
-            if dictionary is not None:
-                # replay the primary's exact assignments *before* the
-                # triples land, so graph.add interns nothing on its own
-                # and the ID space stays byte-identical; a disagreeing
-                # bind raises CorruptionError instead of diverging
-                for tid, token in entries:
-                    dictionary.bind(
-                        decode_term(token, self.array_store), int(tid)
-                    )
+            # replay the primary's exact assignments *before* the
+            # triples land, so graph.add interns nothing on its own
+            # and the ID space stays byte-identical; a disagreeing
+            # bind raises CorruptionError instead of diverging
+            for tid, token in entries:
+                dataset.term_dictionary.bind(
+                    decode_term(token, self.array_store), int(tid)
+                )
         if kind == "clear":
             self._apply_clear(dataset, graph_name)
         elif kind in ("insert", "delete", "modify"):
             graph = dataset.graph(_decode_graph(graph_name))
             for triple in deletes:
                 if graph.remove(*triple):
-                    _invalidate_pooled(triple[2])
+                    invalidate_pooled(triple[2])
             for triple in inserts:
                 graph.add(*triple)
         else:
@@ -754,7 +746,7 @@ class DatasetJournal:
             graphs = [] if graph is None else [graph]
         for graph in graphs:
             for triple in list(graph.triples()):
-                _invalidate_pooled(triple.value)
+                invalidate_pooled(triple.value)
             graph.clear()
 
     # -- snapshot / compaction ----------------------------------------------------
@@ -794,15 +786,11 @@ class DatasetJournal:
                 self._record("insert", name, triples, (), entries)
             )
         last_seq = self.wal.rewrite(payloads)
-        compact = getattr(dataset, "compact_dictionary", None)
-        if compact is not None:
-            compact(scratch)
+        dataset.compact_dictionary(scratch)
         # the WAL seq just regressed (the rewritten log restarts at 1);
         # publishing here lets the snapshot manager invalidate every
         # live snapshot whose version belongs to the old history
-        publish = getattr(dataset, "publish", None)
-        if publish is not None:
-            publish(last_seq)
+        dataset.publish(last_seq)
         self.snapshots_taken += 1
         return last_seq
 
@@ -818,7 +806,7 @@ class DatasetJournal:
         )
 
 
-def _invalidate_pooled(value):
+def invalidate_pooled(value):
     """Drop buffer-pool entries of an array value leaving the dataset.
 
     A streamed delete (or clear) severs the replica's reference to the
@@ -826,9 +814,7 @@ def _invalidate_pooled(value):
     as on the primary's direct update path.
     """
     if isinstance(value, ArrayProxy):
-        invalidate = getattr(value.store, "invalidate_cached", None)
-        if invalidate is not None:
-            invalidate(value.array_id)
+        value.store.invalidate_cached(value.array_id)
 
 
 def _encode_graph(graph):

@@ -639,6 +639,7 @@ class TestPinRelease:
             stats = pool.stats()
             assert stats["pinned"] == 0
             assert stats["pinned_bytes"] == 0
+            _assert_nothing_outlived_the_request(server)
             client.close()
         finally:
             server.stop()
@@ -657,9 +658,19 @@ class TestPinRelease:
                 time.sleep(0.02)
             assert stats["pinned"] == 0
             assert stats["pinned_bytes"] == 0
+            _assert_nothing_outlived_the_request(server)
             client.close()
         finally:
             server.stop()
+
+
+def _assert_nothing_outlived_the_request(server):
+    """The rest of the request context was dropped with the pins: no
+    live snapshot, no registered budget, no admission slot."""
+    assert server.ssdm.mvcc.live_count() == 0
+    assert server.governor.snapshot()["active_scopes"] == 0
+    assert server.governor.snapshot()["charged_bytes"] == 0
+    assert server._queue.active == 0
 
 
 # -- client backoff honors the pacing hint -------------------------------------------

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import SSDM
+from repro import context
 from repro.client.server import _WriteMutex
 from repro.exceptions import (
     ConnectionClosedError,
@@ -20,20 +21,23 @@ from repro.exceptions import (
     QueryError,
     RequestCancelledError,
     RequestTimeoutError,
+    ResourceExhaustedError,
     SciSparqlError,
     ServerOverloadedError,
     StorageError,
     error_code,
     error_from_code,
 )
+from repro.governor import ResourceGovernor
 from repro.lifecycle import (
     Deadline,
     check_deadline,
     current_deadline,
     deadline_scope,
-    run_with_deadline,
 )
-from repro.storage import APRResolver, FaultPlan, MemoryArrayStore
+from repro.storage import (
+    APRResolver, FaultPlan, MemoryArrayStore, SimulatedCrash,
+)
 from repro.storage.bufferpool import BufferPool
 
 
@@ -107,18 +111,21 @@ class TestDeadline:
             with pytest.raises(RequestTimeoutError):
                 check_deadline()
 
-    def test_run_with_deadline_bridges_threads(self):
+    def test_adopt_bridges_threads(self):
         deadline = Deadline(None)
         seen = {}
 
         def worker():
             seen["deadline"] = current_deadline()
 
+        with deadline_scope(deadline):
+            handed = context.fork()
         thread = threading.Thread(
-            target=run_with_deadline, args=(deadline, worker)
+            target=context.adopt, args=(handed, worker)
         )
         thread.start()
-        thread.join()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
         assert seen["deadline"] is deadline
 
 
@@ -317,3 +324,41 @@ class TestExecuteDeadline:
         with pytest.raises(StorageError):
             ssdm.execute(SLOW_AGGREGATE)
         assert pool.stats()["pinned"] == 0
+
+    @pytest.mark.parametrize("outcome, raises", [
+        ("ok", None),
+        ("timeout", RequestTimeoutError),
+        ("resource", ResourceExhaustedError),
+        ("fault", StorageError),
+        ("crash", SimulatedCrash),
+    ])
+    def test_nothing_outlives_its_request(self, outcome, raises, tmp_path):
+        """However a request ends, its whole context goes with it: the
+        thread's slot is empty again, and no pin, snapshot or registered
+        budget is left behind."""
+        ssdm, store, pool = _slow_array_ssdm(
+            read_latency=0.02 if outcome == "timeout" else 0.0
+        )
+        governor = ResourceGovernor()
+        text, timeout, max_bytes = SLOW_AGGREGATE, None, None
+        if outcome == "timeout":
+            timeout = 0.1
+        elif outcome == "resource":
+            max_bytes = 256               # < one array working set
+        elif outcome == "fault":
+            store.faults = FaultPlan(error_every=1)
+        elif outcome == "crash":
+            ssdm = SSDM.open(str(tmp_path / "wal"), array_store=store,
+                             faults=FaultPlan(crash_after_wal=True))
+            text = "INSERT DATA { <http://e/s> <http://e/p> 1 }"
+        with governor.scope(max_bytes=max_bytes):
+            if raises is None:
+                ssdm.execute(text, timeout=timeout)
+            else:
+                with pytest.raises(raises):
+                    ssdm.execute(text, timeout=timeout)
+        assert context.current() is None
+        assert pool.stats()["pinned"] == 0
+        assert pool.stats()["pinned_bytes"] == 0
+        assert ssdm.mvcc.live_count() == 0
+        assert governor.snapshot()["active_scopes"] == 0

@@ -25,7 +25,7 @@ seq.  Covers:
 
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -263,6 +263,15 @@ class TestConsolidationRace:
 # -- exact-seq reads (at_seq) ------------------------------------------------
 
 
+@contextmanager
+def _held_snapshot(ssdm):
+    """What a long-running read holds: a pin on the published version,
+    installed as the thread's snapshot (nested executes inherit it)."""
+    with ssdm.mvcc.reading(ssdm.dataset.capture()) as snapshot, \
+            snapshot_scope(snapshot):
+        yield snapshot
+
+
 def _insert(ssdm, i):
     ssdm.execute(
         "INSERT DATA { <http://e/s%d> <http://e/p> %d }" % (i, i)
@@ -321,7 +330,7 @@ class TestStarvation:
     def test_long_reader_does_not_block_writer(self):
         ssdm = SSDM()
         _insert(ssdm, 1)
-        with ssdm._read_snapshot():
+        with _held_snapshot(ssdm):
             finished = threading.Event()
 
             def write():
@@ -565,7 +574,7 @@ class TestChaosMatrix:
                     return
 
         with ExitStack() as stack:
-            stack.enter_context(ssdm._read_snapshot())
+            stack.enter_context(_held_snapshot(ssdm))
             admission_seq = ssdm.dataset.published_seq
             writer = threading.Thread(target=write)
             readers = [threading.Thread(target=read) for _ in range(2)]

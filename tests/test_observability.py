@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import SSDM, MemoryArrayStore
+from repro import context
 from repro import observability as obs
 from repro.client import SSDMClient, SSDMServer
 from repro.exceptions import SciSparqlError
@@ -194,29 +195,37 @@ class TestAmbientSpans:
         assert node.counters == {"hits": 5, "misses": 1}
         assert node.elapsed == 0.0
 
-    def test_capture_activate_adopts_trace_across_threads(self):
+    def test_fork_adopt_carries_trace_across_threads(self):
         with obs.trace_query("q") as trace:
             with obs.span("execute"):
-                context = obs.capture()
+                handed = context.fork()
+
+            def fetch():
+                with obs.span("chunk_fetch", aggregate=True):
+                    obs.add("chunks", 1)
 
             def worker():
                 assert obs.current_trace() is None
-                with obs.activate(context):
-                    with obs.span("chunk_fetch", aggregate=True):
-                        obs.add("chunks", 1)
+                context.adopt(handed, fetch)
                 assert obs.current_trace() is None
 
             thread = threading.Thread(target=worker)
             thread.start()
-            thread.join()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            # the fork was taken under "execute": the worker's spans
+            # land there, and never move the submitter's current span
+            assert obs.current_span() is trace.root
         execute = trace.root.find("execute")
         assert execute.find("chunk_fetch").counters == {"chunks": 1}
 
-    def test_activate_none_detaches(self):
+    def test_adopt_none_detaches(self):
         with obs.trace_query("q") as trace:
-            with obs.activate(None):
+            def detached():
                 assert obs.current_trace() is None
                 obs.add("lost", 1)  # silently dropped
+
+            context.adopt(None, detached)
             assert obs.current_trace() is trace
         assert trace.root.counters == {}
 

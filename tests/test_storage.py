@@ -10,7 +10,7 @@ import pytest
 from repro.arrays import ArrayProxy, NumericArray, Span
 from repro.exceptions import StorageError
 from repro.storage import (
-    APRResolver, ChunkCache, FileArrayStore, MemoryArrayStore,
+    APRResolver, BufferPool, FileArrayStore, MemoryArrayStore,
     SequencePatternDetector, SqlArrayStore, Strategy,
 )
 from repro.storage.spd import detect_patterns
@@ -292,25 +292,25 @@ class TestSPD:
 
 class TestCache:
     def test_hit_after_put(self):
-        cache = ChunkCache()
+        cache = BufferPool()
         cache.put(1, 0, np.zeros(4))
         assert cache.get(1, 0) is not None
         assert cache.hits == 1
 
     def test_miss_counted(self):
-        cache = ChunkCache()
+        cache = BufferPool()
         assert cache.get(1, 0) is None
         assert cache.misses == 1
 
     def test_lru_eviction(self):
-        cache = ChunkCache(max_bytes=100)
+        cache = BufferPool(max_bytes=100)
         cache.put(1, 0, np.zeros(8))          # 64 bytes
         cache.put(1, 1, np.zeros(8))          # 64 bytes -> evicts chunk 0
         assert cache.get(1, 0) is None
         assert cache.get(1, 1) is not None
 
     def test_touch_refreshes_lru(self):
-        cache = ChunkCache(max_bytes=150)
+        cache = BufferPool(max_bytes=150)
         cache.put(1, 0, np.zeros(8))
         cache.put(1, 1, np.zeros(8))
         cache.get(1, 0)                        # refresh 0
@@ -319,7 +319,7 @@ class TestCache:
         assert cache.get(1, 1) is None
 
     def test_invalidate_array(self):
-        cache = ChunkCache()
+        cache = BufferPool()
         cache.put(1, 0, np.zeros(4))
         cache.put(2, 0, np.zeros(4))
         cache.invalidate(1)
@@ -327,14 +327,14 @@ class TestCache:
         assert cache.get(2, 0) is not None
 
     def test_invalidate_all(self):
-        cache = ChunkCache()
+        cache = BufferPool()
         cache.put(1, 0, np.zeros(4))
         cache.invalidate()
         assert len(cache) == 0
         assert cache.current_bytes == 0
 
     def test_resolver_uses_cache(self, array_store, stored):
-        cache = ChunkCache()
+        cache = BufferPool()
         resolver = APRResolver(array_store, cache=cache)
         view = stored.subscript([None, 2])
         resolver.resolve([view])
